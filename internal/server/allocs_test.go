@@ -206,3 +206,103 @@ func buildBurst(m, vs, w int, traced bool) (enq, deq []byte) {
 	}
 	return enq, deq
 }
+
+// ackPipe returns the client end of an in-memory pipe whose far end acks
+// every request frame with an empty OK reply, without allocating — so
+// allocations counted around a call over it are the client's own.
+func ackPipe(t *testing.T) net.Conn {
+	cli, far := net.Pipe()
+	t.Cleanup(func() { far.Close() })
+	go func() {
+		buf := make([]byte, 1<<20)
+		ack := make([]byte, 4+frameHeader)
+		binary.BigEndian.PutUint32(ack, frameHeader)
+		ack[12] = StatusOK
+		r, w := 0, 0
+		for {
+			n, err := far.Read(buf[w:])
+			if err != nil {
+				return
+			}
+			w += n
+			for w-r >= 4 && w-r >= 4+int(binary.BigEndian.Uint32(buf[r:])) {
+				copy(ack[4:12], buf[r+4:r+12])
+				r += 4 + int(binary.BigEndian.Uint32(buf[r:]))
+				if _, err := far.Write(ack); err != nil {
+					return
+				}
+			}
+			w = copy(buf, buf[r:w])
+			r = 0
+		}
+	}()
+	return cli
+}
+
+// TestAllocsClient pins the client's per-call allocations for a
+// synchronous Enqueue+Dequeue pair and a 64 × 512 B EnqueueBatch, which
+// ride the flush-combining egress. Over a loopback server the count is
+// process-wide, so it includes the server's share (the batch's 64 comes
+// from the server copying each value into fabric-owned bytes); the
+// ceilings are the highest the previous client — one bufio.Writer and
+// one retained encode scratch per connection — measured: pair 1 on this
+// server and 1–3 on a default-option one, batch 64–65. Over an acking
+// pipe the count is the client's alone, and the previous client measured
+// exactly 0 for both: a warmed call must allocate no encode scratch,
+// which also pins the retention rule (a buffer dropped after each write
+// would be reallocated).
+func TestAllocsClient(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is timing-sensitive; skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates on the measured path; the CI allocation-gate step runs this without -race")
+	}
+	v := make([]byte, 64)
+	vals := make([][]byte, 64)
+	for i := range vals {
+		vals[i] = make([]byte, 512)
+	}
+	measure := func(t *testing.T, c *Client, pairCeiling, batchCeiling float64) {
+		pair := testing.AllocsPerRun(200, func() {
+			if err := c.Enqueue(v); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.Dequeue(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		batch := testing.AllocsPerRun(200, func() {
+			if err := c.EnqueueBatch(vals); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("allocs/call: enqueue+dequeue %.2f, 64 x 512 B batch %.2f", pair, batch)
+		if pair > pairCeiling {
+			t.Errorf("enqueue+dequeue: %.2f allocs, ceiling %.0f", pair, pairCeiling)
+		}
+		if batch > batchCeiling {
+			t.Errorf("batch: %.2f allocs, ceiling %.0f", batch, batchCeiling)
+		}
+		c.wmu.Lock()
+		retained := cap(c.out) + cap(c.spare)
+		c.wmu.Unlock()
+		if retained > fwRetain {
+			t.Errorf("idle client retains %d B of egress buffers, over %d", retained, fwRetain)
+		}
+	}
+	t.Run("loopback", func(t *testing.T) {
+		srv := allocsServer(t, 64)
+		c, err := Dial(srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		measure(t, c, 3, 65)
+	})
+	t.Run("client_only", func(t *testing.T) {
+		c := newClient(ackPipe(t), DefaultMaxFrame)
+		t.Cleanup(func() { c.Close() })
+		measure(t, c, 0, 0)
+	})
+}

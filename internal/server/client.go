@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -85,9 +86,13 @@ func putCall(cl *call) {
 type Client struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serializes writers on bw
-	bw  *bufio.Writer
-	enc []byte // reusable frame-encode scratch, guarded by wmu
+	// Egress is flush-combining (see flush): callers append frames to out
+	// and one leader at a time writes everything appended so far.
+	wmu      sync.Mutex // guards out, spare, flushing, werr
+	out      []byte     // encoded frames not yet handed to a write
+	spare    []byte     // an idle buffer the next leader swaps in for out
+	flushing bool       // a leader is writing; appended frames ride its next write
+	werr     error      // the failed write's error; nothing is written after it
 
 	mu      sync.Mutex // guards pending, nextID, err
 	pending map[uint64]*call
@@ -116,15 +121,19 @@ func DialMaxFrame(addr string, maxFrame int) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn, maxFrame), nil
+}
+
+// newClient runs the client protocol over an established connection.
+func newClient(conn net.Conn, maxFrame int) *Client {
 	c := &Client{
 		conn:       conn,
-		bw:         bufio.NewWriter(conn),
 		pending:    make(map[uint64]*call),
 		readerDone: make(chan struct{}),
 		maxFrame:   maxFrame,
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // Close tears down the connection; the server releases the session's
@@ -188,151 +197,137 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// start registers a new call and writes its request frame (without
-// flushing — see flush).
+// start registers a new call and appends its request frame (see
+// startParts).
 func (c *Client) start(op byte, payload []byte, done chan *call, tag any) (*call, error) {
 	return c.startParts(op, done, tag, payload)
 }
 
-// register enters cl into the pending table under a fresh id.
-func (c *Client) register(cl *call) (uint64, error) {
+// register enters a new call completing on done into the pending table
+// under a fresh id.
+func (c *Client) register(done chan *call, tag any) (*call, uint64, error) {
+	cl := getCall(done, tag)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return 0, err
+		putCall(cl)
+		return nil, 0, err
 	}
 	c.nextID++ // ids start at 1; id 0 is reserved for connection errors
 	id := c.nextID
 	c.pending[id] = cl
 	c.mu.Unlock()
-	return id, nil
+	return cl, id, nil
 }
 
-// unregister removes a call whose request frame never made it onto the
-// wire. The call itself is not recycled: a concurrent fail may already
-// hold a reference from its pending-table snapshot.
-func (c *Client) unregister(id uint64) {
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.mu.Unlock()
-}
-
-// trimEnc bounds the retained encode scratch (wmu held). Mirrors the
-// server's frameWriter retention policy.
-func (c *Client) trimEnc() {
-	if cap(c.enc) > fwRetain {
-		c.enc = nil
-	}
-}
-
-// startParts is start with the request payload in pieces: the parts are
-// concatenated into the client's reusable encode scratch, so pipelined
-// senders pay no per-frame encode allocation — a trace stamp or queue-id
-// prefix can live in a caller's stack array.
+// startParts registers a new call and appends its request frame, built
+// from the payload parts, to the pending egress buffer; nothing reaches
+// the wire until a flush. The parts are copied, so a trace stamp or
+// queue-id prefix can live in a caller's stack array.
 func (c *Client) startParts(op byte, done chan *call, tag any, parts ...[]byte) (*call, error) {
-	cl := getCall(done, tag)
-	id, err := c.register(cl)
+	cl, id, err := c.register(done, tag)
 	if err != nil {
-		putCall(cl)
 		return nil, err
 	}
 	c.wmu.Lock()
-	c.enc = appendFrame(c.enc[:0], id, op, parts...)
-	_, werr := c.bw.Write(c.enc)
-	c.trimEnc()
+	c.out = appendFrame(c.out, id, op, parts...)
 	c.wmu.Unlock()
-	if werr != nil {
-		c.unregister(id)
-		return nil, werr
-	}
 	return cl, nil
 }
 
 // startBatch is startParts for batch-encoded requests: prefix (trace
 // stamp and/or queue id, possibly empty) then the batch encoding of vals,
-// all built in the encode scratch — the callers' equivalent of the
-// server's batchFrame, avoiding encodeBatch's intermediate allocation.
+// encoded straight into the egress buffer by the server's batch encoder.
 func (c *Client) startBatch(op byte, prefix []byte, vals [][]byte, done chan *call, tag any) (*call, error) {
-	cl := getCall(done, tag)
-	id, err := c.register(cl)
+	cl, id, err := c.register(done, tag)
 	if err != nil {
-		putCall(cl)
 		return nil, err
 	}
-	n := frameHeader + len(prefix) + encodedBatchSize(vals)
 	c.wmu.Lock()
-	buf := c.enc[:0]
-	var hdr [4 + frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
-	binary.BigEndian.PutUint64(hdr[4:12], id)
-	hdr[12] = op
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, prefix...)
-	var word [4]byte
-	binary.BigEndian.PutUint32(word[:], uint32(len(vals)))
-	buf = append(buf, word[:]...)
-	for _, v := range vals {
-		binary.BigEndian.PutUint32(word[:], uint32(len(v)))
-		buf = append(buf, word[:]...)
-		buf = append(buf, v...)
-	}
-	c.enc = buf
-	_, werr := c.bw.Write(buf)
-	c.trimEnc()
+	c.out = appendBatchFrame(c.out, id, op, prefix, vals)
 	c.wmu.Unlock()
-	if werr != nil {
-		c.unregister(id)
-		return nil, werr
-	}
 	return cl, nil
 }
 
-// flush pushes buffered request frames onto the wire. Pipelined callers
-// write several requests and flush once, mirroring the server's batched
-// replies.
+// yieldBelow is the pending-bytes mark under which a new leader yields
+// before its first write, so callers readied by the same burst of replies
+// can append their frames to it.
+const yieldBelow = 4 << 10
+
+// flush gets every frame appended so far onto the wire, sharing socket
+// writes between concurrent callers. If a leader is writing, flush returns
+// at once and the caller's frames ride the leader's next write. Otherwise
+// the caller leads: while the buffer is small it yields once, so callers
+// the read loop has just readied append first (they run one after another
+// on this P and would never overlap a write otherwise), then it writes the
+// buffer outside the lock until no frames arrived meanwhile. A failed
+// write fails the client: every pending call — buffered, in the failed
+// write or never to be written — completes with the write error.
 func (c *Client) flush() error {
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.bw.Flush()
+	if c.flushing || c.werr != nil {
+		err := c.werr
+		c.wmu.Unlock()
+		return err
+	}
+	c.flushing = true
+	if len(c.out) < yieldBelow {
+		c.wmu.Unlock()
+		runtime.Gosched()
+		c.wmu.Lock()
+	}
+	for len(c.out) > 0 {
+		buf := c.out
+		c.out, c.spare = c.spare[:0], nil
+		c.wmu.Unlock()
+		_, err := c.conn.Write(buf)
+		c.wmu.Lock()
+		if err != nil {
+			c.werr, c.out = err, nil
+			break
+		}
+		c.recycle(buf[:0])
+	}
+	c.flushing = false
+	err := c.werr
+	c.wmu.Unlock()
+	if err != nil {
+		c.fail(err)
+		c.conn.Close()
+	}
+	return err
 }
 
-// roundTrip issues one request synchronously.
-func (c *Client) roundTrip(op byte, payload []byte) (frame, error) {
-	return c.roundTripParts(op, payload)
+// recycle takes back a written buffer (wmu held). An idle client keeps at
+// most fwRetain bytes of egress buffers in total, so the warmer of the two
+// buffers takes the next frames and the other is kept only while both fit.
+func (c *Client) recycle(buf []byte) {
+	if cap(buf) > fwRetain {
+		buf = nil
+	}
+	if len(c.out) == 0 && cap(buf) > cap(c.out) {
+		c.out, buf = buf, c.out[:0]
+	}
+	if cap(buf)+cap(c.out) <= fwRetain {
+		c.spare = buf
+	}
 }
 
-// roundTripParts issues one request synchronously from payload parts. The
-// completed call is recycled: its frame (whose payload the caller may
-// keep — reply payloads are never pooled on the client) is copied out
-// first.
+// roundTripParts issues one request synchronously from payload parts.
 func (c *Client) roundTripParts(op byte, parts ...[]byte) (frame, error) {
-	cl, err := c.startParts(op, nil, nil, parts...)
-	if err != nil {
-		return frame{}, err
-	}
-	if err := c.flush(); err != nil {
-		return frame{}, err // call still pending; completed later by reply or fail
-	}
-	<-cl.done
-	f, cerr := cl.f, cl.err
-	putCall(cl)
-	if cerr != nil {
-		return frame{}, cerr
-	}
-	return f, nil
+	return c.await(c.startParts(op, nil, nil, parts...))
 }
 
-// roundTripBatch issues one batch-encoded request synchronously (see
-// startBatch).
-func (c *Client) roundTripBatch(op byte, prefix []byte, vals [][]byte) (frame, error) {
-	cl, err := c.startBatch(op, prefix, vals, nil, nil)
+// await completes a synchronous call that start registered (or passes on
+// its error): it flushes and waits for the reply. The completed call is
+// recycled: its frame (whose payload the caller may keep — reply payloads
+// are never pooled on the client) is copied out first.
+func (c *Client) await(cl *call, err error) (frame, error) {
 	if err != nil {
 		return frame{}, err
 	}
-	if err := c.flush(); err != nil {
-		return frame{}, err
-	}
+	_ = c.flush() // a failed write completes this call, like every pending one, with its error
 	<-cl.done
 	f, cerr := cl.f, cl.err
 	putCall(cl)
@@ -420,9 +415,9 @@ func (c *Client) enqueueBatch(qid uint32, vs [][]byte) error {
 	if qid != 0 {
 		var q [queueIDLen]byte
 		binary.BigEndian.PutUint32(q[:], qid)
-		f, err = c.roundTripBatch(OpEnqueueBatchQ, q[:], vs)
+		f, err = c.await(c.startBatch(OpEnqueueBatchQ, q[:], vs, nil, nil))
 	} else {
-		f, err = c.roundTripBatch(OpEnqueueBatch, nil, vs)
+		f, err = c.await(c.startBatch(OpEnqueueBatch, nil, vs, nil, nil))
 	}
 	if err != nil {
 		return err
@@ -555,7 +550,7 @@ func (c *Client) resize(qid uint32, k int) (int, error) {
 // Stats returns the server's Snapshot as raw JSON (the same document the
 // /statsz endpoint serves).
 func (c *Client) Stats() ([]byte, error) {
-	f, err := c.roundTrip(OpStats, nil)
+	f, err := c.roundTripParts(OpStats, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +570,7 @@ func (c *Client) Open(name string) (*NamedQueue, error) {
 	if len(name) == 0 || len(name) > MaxQueueName {
 		return nil, fmt.Errorf("server: queue name must be 1..%d bytes (got %d)", MaxQueueName, len(name))
 	}
-	f, err := c.roundTrip(OpOpen, []byte(name))
+	f, err := c.roundTripParts(OpOpen, []byte(name))
 	if err != nil {
 		return nil, err
 	}
@@ -594,7 +589,7 @@ func (c *Client) Open(name string) (*NamedQueue, error) {
 // exactly like closing a local fabric that still holds elements. The
 // default queue cannot be deleted.
 func (c *Client) Delete(name string) error {
-	f, err := c.roundTrip(OpDelete, []byte(name))
+	f, err := c.roundTripParts(OpDelete, []byte(name))
 	if err != nil {
 		return err
 	}

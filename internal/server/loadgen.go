@@ -419,9 +419,8 @@ func runProducer(addr string, cfg LoadConfig, p int, ps *producerState, nonce ui
 
 	seq, broken := int64(0), false
 	frames := int64(0) // frames sent, for the TraceEvery sampling stride
-	// One value buffer per batch slot, reused across frames: both the
-	// single-op path (the client copies into its write buffer) and
-	// encodeBatch copy the bytes out before start returns.
+	// One value buffer per batch slot, reused across frames: the client
+	// encodes every frame into its egress buffer before start returns.
 	values := make([][]byte, cfg.Batch)
 	for i := range values {
 		values[i] = make([]byte, cfg.ValueSize)
@@ -430,7 +429,7 @@ func runProducer(addr string, cfg LoadConfig, p int, ps *producerState, nonce ui
 	// prefixBuf holds the frame's wire prefixes — trace stamp first, then
 	// queue id, matching decodeOp's stripping order — assembled in place so
 	// a traced qualified frame costs no more encode allocations than a
-	// plain one (the client copies the parts into its own scratch).
+	// plain one (the client copies the parts into its egress buffer).
 	var prefixBuf [traceStampLen + queueIDLen]byte
 	next := time.Now()
 pacing:

@@ -163,6 +163,17 @@ func TestMalformedTracedFrame(t *testing.T) {
 	}
 }
 
+// waitSpans waits up to 5 s for the server to publish n spans. A window's
+// spans are published after its reply write returns, so the client can
+// hold the last reply before its span lands; the callers' exact-count
+// checks run after the wait.
+func waitSpans(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); srv.spans.Offered() < n && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestSpanzHandler checks the exemplar endpoint: well-formed JSON,
 // populated after traced traffic, slow exemplars sorted slowest first,
 // recent spans in sequence order.
@@ -174,6 +185,7 @@ func TestSpanzHandler(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitSpans(t, srv, 20)
 
 	rec := httptest.NewRecorder()
 	srv.SpanzHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/spanz", nil))
@@ -246,6 +258,7 @@ func TestSnapshotStageLatAndMetricsz(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitSpans(t, srv, 8)
 
 	snap := srv.Snapshot()
 	if snap.Obs == nil || snap.Obs.Spans != 8 {

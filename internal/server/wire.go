@@ -209,6 +209,27 @@ func appendFrame(dst []byte, id uint64, kind byte, parts ...[]byte) []byte {
 	return dst
 }
 
+// appendBatchFrame appends one batch-encoded frame to dst: an optional
+// prefix (a span block on replies; a trace stamp and/or queue id on
+// requests), the count word, then each value length-prefixed. It is the
+// batch encoder behind both sides' write paths, so a batch payload is
+// never materialized on its own.
+func appendBatchFrame(dst []byte, id uint64, kind byte, prefix []byte, vals [][]byte) []byte {
+	n := frameHeader + len(prefix) + encodedBatchSize(vals)
+	var hdr [4 + frameHeader]byte
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
+	binary.BigEndian.PutUint64(hdr[4:12], id)
+	hdr[12] = kind
+	dst = append(dst, hdr[:]...)
+	dst = append(dst, prefix...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(vals)))
+	for _, v := range vals {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(v)))
+		dst = append(dst, v...)
+	}
+	return dst
+}
+
 // AppendWireFrame is appendFrame for callers outside the package that
 // speak the raw wire format — the benchmark harness's zero-allocation
 // drivers preencode request bursts with it.
@@ -294,21 +315,7 @@ func (fw *frameWriter) batchFrame(id uint64, kind byte, span []byte, vals [][]by
 	if err := fw.spill(); err != nil {
 		return err
 	}
-	n := frameHeader + len(span) + encodedBatchSize(vals)
-	var hdr [4 + frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
-	binary.BigEndian.PutUint64(hdr[4:12], id)
-	hdr[12] = kind
-	fw.buf = append(fw.buf, hdr[:]...)
-	fw.buf = append(fw.buf, span...)
-	var word [4]byte
-	binary.BigEndian.PutUint32(word[:], uint32(len(vals)))
-	fw.buf = append(fw.buf, word[:]...)
-	for _, v := range vals {
-		binary.BigEndian.PutUint32(word[:], uint32(len(v)))
-		fw.buf = append(fw.buf, word[:]...)
-		fw.buf = append(fw.buf, v...)
-	}
+	fw.buf = appendBatchFrame(fw.buf, id, kind, span, vals)
 	return nil
 }
 
