@@ -5,64 +5,129 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/metrics"
 )
 
+// TestBatchSequentialFIFO enqueues ascending values through handle 0 with
+// a mix of Enqueue, StepEnqueue and EnqueueBatch, checks that the tree
+// snapshot exposes each leaf block's values, then drains through the
+// consumer handle with a cycle of batch and single dequeues (the last batch
+// partial) and checks FIFO order. The log-levels case sizes its blocks so
+// the leaf's value log crosses levels (at indices 64, 192, 448) mid-batch,
+// at a single op and at a StepEnqueue.
 func TestBatchSequentialFIFO(t *testing.T) {
-	q, err := New[int](2)
-	if err != nil {
-		t.Fatal(err)
+	const (
+		single = iota
+		step
+		batch
+	)
+	type enq struct{ kind, m int }
+	cases := []struct {
+		name     string
+		consumer int
+		enqs     []enq
+	}{
+		{"small", 0, []enq{{batch, 5}, {single, 1}, {batch, 3}}},
+		{"log-levels", 1, []enq{
+			{batch, 63}, {single, 1}, {step, 1}, {batch, 64}, {batch, 65},
+			{batch, 1}, {batch, 200}, {step, 1}, {single, 1}, {batch, 63},
+		}},
 	}
-	h := q.MustHandle(0)
-	next := 0
-	enq := func(m int) []int {
-		es := make([]int, m)
-		for i := range es {
-			es[i] = next
-			next++
-		}
-		return es
-	}
-	h.EnqueueBatch(enq(5))
-	h.Enqueue(next)
-	next++
-	h.EnqueueBatch(enq(3))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := New[int](2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := q.MustHandle(0)
+			next := 0
+			var blocks [][]int // values of each of handle 0's leaf blocks
+			for _, op := range tc.enqs {
+				es := make([]int, op.m)
+				for i := range es {
+					es[i] = next
+					next++
+				}
+				switch op.kind {
+				case single:
+					h.Enqueue(es[0])
+				case step:
+					h.StepEnqueue(es[0])
+				case batch:
+					h.EnqueueBatch(es)
+				}
+				blocks = append(blocks, es)
+			}
+			h.StepPropagate()
+			checkLeafValues(t, q.Snapshot(), blocks)
 
-	want := 0
-	vs, got := h.DequeueBatch(4)
-	if got != 4 {
-		t.Fatalf("DequeueBatch(4) count = %d", got)
+			c := q.MustHandle(tc.consumer)
+			want := 0
+			take := func(vs []int) {
+				for _, v := range vs {
+					if v != want {
+						t.Fatalf("dequeued %d, want %d", v, want)
+					}
+					want++
+				}
+			}
+			for k := 0; want < next; k++ {
+				switch n := []int{4, 1, 1, 100}[k%4]; n {
+				case 1:
+					v, ok := c.Dequeue()
+					if !ok {
+						t.Fatalf("Dequeue empty with %d values left", next-want)
+					}
+					take([]int{v})
+				default:
+					vs, got := c.DequeueBatch(n)
+					if got != min(n, next-want) || len(vs) != got {
+						t.Fatalf("DequeueBatch(%d) = %d values, want %d", n, got, min(n, next-want))
+					}
+					take(vs)
+				}
+			}
+			if _, got := c.DequeueBatch(3); got != 0 {
+				t.Fatalf("DequeueBatch on empty returned %d values", got)
+			}
+		})
 	}
-	for _, v := range vs {
-		if v != want {
-			t.Fatalf("dequeued %d, want %d", v, want)
+}
+
+// checkLeafValues asserts that leaf 0's enqueue blocks in snap carry want,
+// in order: the value itself for a one-enqueue block, the whole []int for
+// a multi-op block.
+func checkLeafValues(t *testing.T, snap TreeSnapshot, want [][]int) {
+	t.Helper()
+	for _, n := range snap.Nodes {
+		if n.LeafID != 0 {
+			continue
 		}
-		want++
-	}
-	for i := 0; i < 2; i++ {
-		v, ok := h.Dequeue()
-		if !ok || v != want {
-			t.Fatalf("Dequeue = (%d,%v), want %d", v, ok, want)
+		var got []BlockSnapshot
+		for _, b := range n.Blocks {
+			if b.Kind == KindEnqueue {
+				got = append(got, b)
+			}
 		}
-		want++
-	}
-	// Oversized batch dequeue: the tail is null, count is partial.
-	vs, got = h.DequeueBatch(100)
-	if got != next-want {
-		t.Fatalf("final DequeueBatch count = %d, want %d", got, next-want)
-	}
-	for _, v := range vs {
-		if v != want {
-			t.Fatalf("dequeued %d, want %d", v, want)
+		if len(got) != len(want) {
+			t.Fatalf("leaf 0 has %d enqueue blocks, want %d", len(got), len(want))
 		}
-		want++
+		for i, es := range want {
+			var exp any = es
+			if len(es) == 1 {
+				exp = es[0]
+			}
+			if !reflect.DeepEqual(got[i].Element, exp) {
+				t.Fatalf("leaf block %d Element = %v, want %v", got[i].Index, got[i].Element, exp)
+			}
+		}
+		return
 	}
-	if _, got := h.DequeueBatch(3); got != 0 {
-		t.Fatalf("DequeueBatch on empty returned %d values", got)
-	}
+	t.Fatal("snapshot has no leaf 0")
 }
 
 func TestBatchDegenerateSizes(t *testing.T) {
@@ -79,7 +144,7 @@ func TestBatchDegenerateSizes(t *testing.T) {
 	if vs, n := h.DequeueBatch(-3); n != 0 || vs != nil {
 		t.Fatalf("DequeueBatch(-3) = (%v,%d)", vs, n)
 	}
-	h.EnqueueBatch([]int{7}) // m=1 batch takes the single-element representation
+	h.EnqueueBatch([]int{7}) // an m=1 batch is an ordinary one-value block
 	if v, ok := h.Dequeue(); !ok || v != 7 {
 		t.Fatalf("Dequeue = (%d,%v)", v, ok)
 	}

@@ -12,6 +12,14 @@ import "sync/atomic"
 // parent's head field; 0 means "not yet set" (valid indices are >= 1 because
 // every head field starts at 1).
 //
+// A block holds no pointers, so the arena's slabs are noscan memory: the GC
+// marks the ordering tree's immortal, ever-growing block history without
+// scanning it.
+// Enqueued values live outside the tree, in the per-leaf value log
+// (node.log): the k-th enqueue ever appended at a leaf stores its value at
+// log index k-1, and a leaf block's enqueues are log indices
+// [prev.sumEnq, sumEnq). TestBlockPointerFree guards the layout.
+//
 // Lifecycle under the block arena (pool.go): blocks are drawn from a
 // per-handle arena, and only blocks that were *never published* are ever
 // recycled (a Refresh candidate whose CAS lost, or that was abandoned
@@ -22,7 +30,7 @@ import "sync/atomic"
 // prefix sums that every search bottoms out on can never be recycled and
 // rewritten — pre-installation survives pooling by construction, not by
 // luck.
-type block[T any] struct {
+type block struct {
 	// sumEnq and sumDeq are the number of enqueues and dequeues contained in
 	// this node's blocks[1..i] where i is this block's index (Invariant 7).
 	sumEnq int64
@@ -40,43 +48,24 @@ type block[T any] struct {
 	// (root blocks only).
 	size int64
 
-	// element is the enqueued value (leaf blocks representing a single
-	// enqueue). Multi-op enqueue blocks store their values in elems instead,
-	// so the single-op hot path never pays a slice allocation.
-	element T
-
-	// elems are the enqueued values of a multi-op leaf block (batch append),
-	// in enqueue order. nil for single-op blocks and dequeue blocks; when
-	// set, element is unused.
-	elems []T
-
 	// super is the approximate index of this block's superblock in the
 	// parent's blocks array; it may be one less than the true index
 	// (Lemma 12). 0 means unset.
 	super atomic.Int64
 }
 
-// enqAt returns the i-th (1-based) enqueue argument of a leaf block, which
-// must contain at least i enqueues.
-func (b *block[T]) enqAt(i int64) T {
-	if b.elems != nil {
-		return b.elems[i-1]
-	}
-	return b.element
-}
-
 // numEnqueues returns |E(B)| given the previous block in the same node.
-func (b *block[T]) numEnqueues(prev *block[T]) int64 {
+func (b *block) numEnqueues(prev *block) int64 {
 	return b.sumEnq - prev.sumEnq
 }
 
 // numDequeues returns |D(B)| given the previous block in the same node.
-func (b *block[T]) numDequeues(prev *block[T]) int64 {
+func (b *block) numDequeues(prev *block) int64 {
 	return b.sumDeq - prev.sumDeq
 }
 
 // end returns endLeft or endRight according to dir.
-func (b *block[T]) end(dir direction) int64 {
+func (b *block) end(dir direction) int64 {
 	if dir == left {
 		return b.endLeft
 	}

@@ -39,19 +39,27 @@ type node[T any] struct {
 	// arena, so no amount of pooling or recycling can ever reuse (and
 	// rewrite) a dummy block out from under a reader that relies on its
 	// all-zero sums.
-	blocks *infarray.Array[block[T]]
+	blocks *infarray.Array[block]
 
 	// head is the position to use for the next append attempt: blocks[i] is
 	// non-nil for all i < head, and blocks[i] is nil for all i > head
 	// (Invariant 3). head only moves forward, via CAS in advance.
 	head atomic.Int64
 
+	// log holds the values enqueued at a leaf, indexed by enqueue rank at
+	// that leaf (see block.go); nil on internal nodes and until the leaf's
+	// first enqueue. The leaf's handle is its single writer: it sets log
+	// and stores a block's values before storeBlock publishes the block,
+	// and a reader reaches log index k only through atomic loads of blocks
+	// whose sumEnq exceeds k, which orders the read after the writes.
+	log *infarray.Log[T]
+
 	// Pad each node to two cache lines (the adjacent-line prefetcher's
 	// granularity) so one node's hot head atomic never false-shares with a
 	// neighbouring node's: in the flat layout, tree neighbours are array
 	// neighbours, which is exactly the adjacency that used to be broken up
 	// by separate heap allocations.
-	_ [128 - 16]byte
+	_ [128 - 24]byte
 }
 
 // isLeaf reports whether index v names a leaf of q's tree.
@@ -65,9 +73,9 @@ func newTree[T any](numLeaves int) []node[T] {
 	nodes := make([]node[T], 2*numLeaves)
 	// One shared slab for the index-zero dummy blocks; see the blocks field
 	// comment for why these must never enter the arena.
-	dummies := make([]block[T], len(nodes))
+	dummies := make([]block, len(nodes))
 	for v := rootIdx; v < len(nodes); v++ {
-		nodes[v].blocks = infarray.New[block[T]]()
+		nodes[v].blocks = infarray.New[block]()
 		nodes[v].blocks.Store(0, &dummies[v])
 		nodes[v].head.Store(1)
 	}

@@ -11,22 +11,17 @@ package core
 // the file so that step counting (the paper's cost model) is exact and
 // uniform.
 
-import "repro/internal/metrics"
+import (
+	"repro/internal/infarray"
+	"repro/internal/metrics"
+)
 
 // Enqueue adds e to the back of the queue. It completes in O(log p)
 // shared-memory steps and O(log p) CAS instructions regardless of
-// scheduling. Enqueue is the m=1 case of EnqueueBatch: both install one
-// leaf block through the same append/propagate path. The block comes from
-// the handle's arena and the element is stored inline, so the allocation-
-// free fast path of pool.go applies.
+// scheduling. Enqueue is the m=1 case of EnqueueBatch.
 func (h *Handle[T]) Enqueue(e T) {
 	h.counter.BeginOp()
-	prev := h.readBlock(h.leaf, h.readHead(h.leaf)-1)
-	b := h.newBlock()
-	b.sumEnq = prev.sumEnq + 1
-	b.sumDeq = prev.sumDeq
-	b.element = e
-	h.append(b)
+	h.append(h.enqueueBlock(h.readHead(h.leaf), e))
 	h.counter.EndOp(metrics.OpEnqueue)
 }
 
@@ -41,23 +36,26 @@ func (h *Handle[T]) EnqueueBatch(es []T) {
 		return
 	}
 	h.counter.BeginOp()
-	h.enqueueBlock(es)
+	h.append(h.enqueueBlock(h.readHead(h.leaf), es...))
 	h.counter.EndBatch(int64(len(es)), 0, 0)
 }
 
-// enqueueBlock installs one leaf block carrying the len(es) >= 1 enqueues
-// of es and propagates it to the root.
-func (h *Handle[T]) enqueueBlock(es []T) {
-	prev := h.readBlock(h.leaf, h.readHead(h.leaf)-1)
+// enqueueBlock writes the len(es) >= 1 values of es to the leaf's value
+// log and returns the (not yet published) leaf block that counts them,
+// for the leaf slot hd. Writing the log before the block is published is
+// what orders the values before every reader.
+func (h *Handle[T]) enqueueBlock(hd int64, es ...T) *block {
+	prev := h.readBlock(h.leaf, hd-1)
+	n := &h.nodes[h.leaf]
+	if n.log == nil {
+		// Leaves no handle enqueues at never pay for a log.
+		n.log = new(infarray.Log[T])
+	}
+	n.log.Store(prev.sumEnq, es...)
 	b := h.newBlock()
 	b.sumEnq = prev.sumEnq + int64(len(es))
 	b.sumDeq = prev.sumDeq
-	if len(es) == 1 {
-		b.element = es[0]
-	} else {
-		b.elems = append([]T(nil), es...)
-	}
-	h.append(b)
+	return b
 }
 
 // Dequeue removes and returns the element at the front of the queue. The
@@ -137,7 +135,7 @@ func (h *Handle[T]) dequeueBlock(n int64) (int64, int64) {
 // store suffices for the install; the head advance still goes through
 // advance so that the block's super field is set before the head moves past
 // it, which Invariant 3 and Lemma 12 rely on.
-func (h *Handle[T]) append(b *block[T]) {
+func (h *Handle[T]) append(b *block) {
 	leaf := h.leaf
 	hd := h.readHead(leaf)
 	h.storeBlock(leaf, hd, b)
@@ -195,7 +193,7 @@ func (h *Handle[T]) refresh(v int) bool {
 // operations that are not already in v. The child sums are read *before*
 // any block is allocated so the frequent nothing-to-do case touches the
 // arena not at all.
-func (h *Handle[T]) createBlock(v int, i int64) *block[T] {
+func (h *Handle[T]) createBlock(v int, i int64) *block {
 	endLeft := h.readHead(2*v) - 1
 	endRight := h.readHead(2*v+1) - 1
 	lastLeft := h.readBlock(2*v, endLeft)
@@ -245,27 +243,27 @@ func (h *Handle[T]) readHead(v int) int64 {
 
 // readBlock loads nodes[v].blocks[i], which the caller asserts is non-nil
 // (Invariant 3 guarantees this for all i < v.head).
-func (h *Handle[T]) readBlock(v int, i int64) *block[T] {
+func (h *Handle[T]) readBlock(v int, i int64) *block {
 	h.counter.Read(1)
 	return h.nodes[v].blocks.Get(i)
 }
 
 // readBlockOrNil loads nodes[v].blocks[i] where nil is an expected outcome.
-func (h *Handle[T]) readBlockOrNil(v int, i int64) *block[T] {
+func (h *Handle[T]) readBlockOrNil(v int, i int64) *block {
 	h.counter.Read(1)
 	return h.nodes[v].blocks.Get(i)
 }
 
 // storeBlock publishes b at nodes[v].blocks[i]. Only used on the handle's
 // own leaf, which has a single writer.
-func (h *Handle[T]) storeBlock(v int, i int64, b *block[T]) {
+func (h *Handle[T]) storeBlock(v int, i int64, b *block) {
 	h.counter.Write()
 	h.nodes[v].blocks.Store(i, b)
 }
 
 // casBlock tries to install b at nodes[v].blocks[i], expecting the slot to
 // be nil.
-func (h *Handle[T]) casBlock(v int, i int64, b *block[T]) bool {
+func (h *Handle[T]) casBlock(v int, i int64, b *block) bool {
 	ok := h.nodes[v].blocks.CompareAndSwap(i, nil, b)
 	h.counter.CAS(ok)
 	return ok
@@ -278,13 +276,21 @@ func (h *Handle[T]) casHead(v int, hd int64) {
 }
 
 // casSuper sets b.super from 0 to val once.
-func (h *Handle[T]) casSuper(b *block[T], val int64) {
+func (h *Handle[T]) casSuper(b *block, val int64) {
 	ok := b.super.CompareAndSwap(0, val)
 	h.counter.CAS(ok)
 }
 
 // readSuper loads b.super.
-func (h *Handle[T]) readSuper(b *block[T]) int64 {
+func (h *Handle[T]) readSuper(b *block) int64 {
 	h.counter.Read(1)
 	return b.super.Load()
+}
+
+// readValue loads the value of the k-th (1-based) enqueue ever appended at
+// leaf v from its value log. It stands in for the paper's read of the leaf
+// block's element field, so it is charged as that one read.
+func (h *Handle[T]) readValue(v int, k int64) T {
+	h.counter.Read(1)
+	return h.nodes[v].log.Get(k - 1)
 }

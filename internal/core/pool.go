@@ -17,7 +17,9 @@ import "sync"
 //     survives handle churn (the pool belongs to the queue, not the handle).
 //  3. per-handle slab: a bump allocator over a 64-block chunk, refilled from
 //     make when exhausted. This turns the worst case — nothing recyclable —
-//     into 1 allocation per 64 blocks instead of 1 per block.
+//     into 1 allocation per 64 blocks instead of 1 per block. Blocks hold no
+//     pointers (block.go), so a slab is one 3 KiB noscan object that the GC
+//     marks without scanning, however long its blocks stay published.
 //
 // Only never-published blocks are ever recycled. A block becomes shared the
 // instant casBlock/storeBlock installs it; from then on concurrent readers
@@ -35,13 +37,13 @@ const (
 
 // blockArena is the per-queue level of the scheme: a sync.Pool of
 // never-published blocks shared by all handles.
-type blockArena[T any] struct {
-	pool sync.Pool // holds *block[T]
+type blockArena struct {
+	pool sync.Pool // holds *block
 }
 
 // newBlock returns a block whose fields are all zero, drawn from the spare
 // stack, the shared pool, or the bump slab, in that order.
-func (h *Handle[T]) newBlock() *block[T] {
+func (h *Handle[T]) newBlock() *block {
 	if n := len(h.spare) - 1; n >= 0 {
 		b := h.spare[n]
 		h.spare[n] = nil
@@ -49,12 +51,12 @@ func (h *Handle[T]) newBlock() *block[T] {
 		b.reset()
 		return b
 	}
-	if b, _ := h.queue.arena.pool.Get().(*block[T]); b != nil {
+	if b, _ := h.queue.arena.pool.Get().(*block); b != nil {
 		b.reset()
 		return b
 	}
 	if len(h.slab) == 0 {
-		h.slab = make([]block[T], slabBlocks)
+		h.slab = make([]block, slabBlocks)
 	}
 	b := &h.slab[0]
 	h.slab = h.slab[1:]
@@ -66,7 +68,7 @@ func (h *Handle[T]) newBlock() *block[T] {
 // lost — a lost casBlock leaves the candidate private: advance works on the
 // block that actually got installed). Publishing a block and then recycling
 // it would hand a live shared block to a future writer; don't.
-func (h *Handle[T]) recycle(b *block[T]) {
+func (h *Handle[T]) recycle(b *block) {
 	if len(h.spare) < spareCap {
 		h.spare = append(h.spare, b)
 		return
@@ -77,12 +79,9 @@ func (h *Handle[T]) recycle(b *block[T]) {
 // reset zeroes a recycled block field by field. A struct-literal assignment
 // would copy the atomic super field and trip go vet's copylocks check; the
 // Store is fine because the block is private to the caller here.
-func (b *block[T]) reset() {
-	var zero T
+func (b *block) reset() {
 	b.sumEnq, b.sumDeq = 0, 0
 	b.endLeft, b.endRight = 0, 0
 	b.size = 0
-	b.element = zero
-	b.elems = nil
 	b.super.Store(0)
 }

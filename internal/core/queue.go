@@ -40,7 +40,7 @@ type Queue[T any] struct {
 	numLeaves int
 	handles   []Handle[T]
 	procs     int
-	arena     blockArena[T]
+	arena     blockArena
 
 	// Ablation switches (see Option). Both default to the paper's design.
 	plainRootSearch bool
@@ -58,8 +58,8 @@ type Handle[T any] struct {
 	counter *metrics.Counter
 
 	// Block arena state private to this handle; see pool.go.
-	slab  []block[T]
-	spare []*block[T]
+	slab  []block
+	spare []*block
 }
 
 // Option configures a Queue; the zero configuration is the paper's design.

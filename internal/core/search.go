@@ -107,6 +107,9 @@ func (h *Handle[T]) searchRootForEnqueue(b, e int64) int64 {
 // Preconditions: i >= 1, v.blocks[b] is non-nil and contains at least i
 // enqueues.
 func (h *Handle[T]) getEnqueue(v int, b, i int64) T {
+	// target is the enqueue's rank among all enqueues of child; after the
+	// last descent, child is the leaf and target indexes its value log.
+	var target int64
 	for !h.queue.isLeaf(v) {
 		lc, rc := 2*v, 2*v+1
 		blkB := h.readBlock(v, b)
@@ -135,7 +138,7 @@ func (h *Handle[T]) getEnqueue(v int, b, i int64) T {
 		// Binary search the direct subblocks for the minimum b' with
 		// child.blocks[b'].sumEnq >= i + prevChild (line 114). The range has
 		// at most c <= p blocks (Lemma 21), giving O(log c) probes.
-		target := i + prevChild
+		target = i + prevChild
 		lo, hi := loIdx-1, hiIdx
 		for hi-lo > 1 {
 			mid := lo + (hi-lo)/2
@@ -149,7 +152,5 @@ func (h *Handle[T]) getEnqueue(v int, b, i int64) T {
 		i -= h.readBlock(child, bp-1).sumEnq - prevChild
 		v, b = child, bp
 	}
-	// A leaf block carries one enqueue (element) or a whole batch (elems);
-	// i survived the descent as the rank within this block.
-	return h.readBlock(v, b).enqAt(i)
+	return h.readValue(v, target)
 }

@@ -91,12 +91,7 @@ func (q *Queue[T]) Snapshot() TreeSnapshot {
 				prev := n.blocks.Get(i - 1)
 				if b.sumEnq > prev.sumEnq {
 					bs.Kind = KindEnqueue
-					if b.elems != nil {
-						// Multi-op batch block: expose the whole value set.
-						bs.Element = b.elems
-					} else {
-						bs.Element = b.element
-					}
+					bs.Element = q.leafValues(v, prev.sumEnq, b.sumEnq)
 				} else {
 					bs.Kind = KindDequeue
 				}
@@ -111,4 +106,19 @@ func (q *Queue[T]) Snapshot() TreeSnapshot {
 	}
 	walk(rootIdx, "")
 	return snap
+}
+
+// leafValues returns the values of leaf v's enqueues with log indices
+// [from, to): the single value for a one-enqueue block, else a []T of the
+// whole batch.
+func (q *Queue[T]) leafValues(v int, from, to int64) any {
+	log := q.nodes[v].log
+	if to-from == 1 {
+		return log.Get(from)
+	}
+	vs := make([]T, 0, to-from)
+	for k := from; k < to; k++ {
+		vs = append(vs, log.Get(k))
+	}
+	return vs
 }

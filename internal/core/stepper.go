@@ -18,11 +18,7 @@ import "fmt"
 // can propagate it. The block's position in the leaf is returned.
 func (h *Handle[T]) StepEnqueue(e T) int64 {
 	hd := h.readHead(h.leaf)
-	prev := h.readBlock(h.leaf, hd-1)
-	b := h.newBlock()
-	b.element = e
-	b.sumEnq = prev.sumEnq + 1
-	b.sumDeq = prev.sumDeq
+	b := h.enqueueBlock(hd, e)
 	h.storeBlock(h.leaf, hd, b)
 	h.advance(h.leaf, hd)
 	return hd

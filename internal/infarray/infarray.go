@@ -9,6 +9,10 @@
 // loads). Levels are allocated on first touch and installed with CAS, so the
 // structure as a whole remains lock-free and all published slots are stable
 // for the lifetime of the array.
+//
+// Log uses the same level layout for a single writer's values stored
+// inline; the ordering tree keeps each leaf's enqueued values there so its
+// blocks stay pointer-free.
 package infarray
 
 import (
@@ -40,7 +44,7 @@ type Array[T any] struct {
 // hot low indices never pay an allocation CAS.
 func New[T any]() *Array[T] {
 	a := &Array[T]{}
-	lvl := make([]atomic.Pointer[T], 1<<defaultBaseBits)
+	lvl := make([]atomic.Pointer[T], levelLen(0))
 	a.levels[0].Store(&lvl)
 	return a
 }
@@ -55,6 +59,9 @@ func locate(i int64) (level int, offset int64) {
 	return hi - defaultBaseBits, int64(pos) - (1 << hi)
 }
 
+// levelLen is the number of slots in level l.
+func levelLen(l int) int64 { return int64(1) << (defaultBaseBits + l) }
+
 // slot returns the atomic cell for index i, allocating the containing level
 // if needed. Allocation uses CAS so concurrent callers agree on one level
 // slice; the loser's allocation is discarded.
@@ -62,7 +69,7 @@ func (a *Array[T]) slot(i int64) *atomic.Pointer[T] {
 	level, offset := locate(i)
 	lp := a.levels[level].Load()
 	if lp == nil {
-		fresh := make([]atomic.Pointer[T], int64(1)<<(defaultBaseBits+level))
+		fresh := make([]atomic.Pointer[T], levelLen(level))
 		if a.levels[level].CompareAndSwap(nil, &fresh) {
 			lp = &fresh
 		} else {
